@@ -7,7 +7,7 @@ use gpu_sim::{Device, KernelRun, SimError};
 use tbs_core::distance::Euclidean;
 use tbs_core::histogram::{Histogram, HistogramSpec};
 use tbs_core::kernels::{pair_launch, HistogramReduceKernel, PairScope};
-use tbs_core::output::{GlobalHistogramAction, SharedHistogramAction};
+use tbs_core::output::{privatized_copy_fits, GlobalHistogramAction, SharedHistogramAction};
 use tbs_core::point::SoaPoints;
 
 /// Output-stage strategy for the SDH.
@@ -68,6 +68,14 @@ where
     let lc = pair_launch(input.n, plan.block_size);
     match output {
         SdhOutputMode::Privatized => {
+            if !privatized_copy_fits(lc.block_dim, input.n as u64) {
+                return Err(SimError::InvalidLaunch {
+                    reason: format!(
+                        "{} points at block size {} can wrap a u32 privatized histogram copy",
+                        input.n, lc.block_dim
+                    ),
+                });
+            }
             let private = dev.alloc_u32_zeroed((lc.grid_dim * spec.buckets) as usize);
             let pair_run = launch_pairwise(
                 dev,

@@ -64,7 +64,7 @@ use tbs_core::histogram::{Histogram, HistogramSpec};
 use tbs_core::kernels::{
     pair_launch, CrossShmKernel, HistogramReduceKernel, PairScope, RegisterShmKernel,
 };
-use tbs_core::output::{MultiCountSink, MultiHistSink, MultiQueryAction};
+use tbs_core::output::{privatized_copy_fits, MultiCountSink, MultiHistSink, MultiQueryAction};
 use tbs_core::point::SoaPoints;
 
 /// Server construction parameters.
@@ -174,7 +174,13 @@ impl ServerHandle {
     /// Register (or replace) dataset `name`; returns its generation.
     /// Re-registration bumps the generation, which evicts every cached
     /// shard upload and gridded catalog of the old revision.
+    ///
+    /// Points with a NaN or infinite coordinate are refused with
+    /// [`ServeError::BadQuery`]: no sweep could answer them exactly.
     pub fn register_dataset(&self, name: &str, pts: SoaPoints<3>) -> Result<u64, ServeError> {
+        if !(0..3).all(|d| pts.coord(d).iter().all(|c| c.is_finite())) {
+            return Err(ServeError::BadQuery("coordinates must be finite"));
+        }
         let (reply, rx) = channel();
         self.tx
             .send(Request::Register {
@@ -535,7 +541,19 @@ impl Dispatcher {
             .datasets
             .get(dataset)
             .ok_or_else(|| ServeError::UnknownDataset(dataset.to_string()))?;
-        query.validate(ds.pts.len())
+        query.validate(ds.pts.len())?;
+        // Dense sweeps scatter SDH sinks into u32 privatized copies; a
+        // dataset large enough to wrap one is refused, never answered
+        // with a wrapped count. (Shards only shrink a block's partner
+        // side, so the whole dataset bounds every task.)
+        if matches!(query, Query::Sdh { .. })
+            && !privatized_copy_fits(self.cfg.plan.block_size, ds.pts.len() as u64)
+        {
+            return Err(ServeError::BadQuery(
+                "dataset too large for u32 privatized histogram copies",
+            ));
+        }
+        Ok(())
     }
 
     /// Execute one dataset's admitted queries: one coalesced sweep for

@@ -316,3 +316,37 @@ fn reregistration_serves_fresh_data() {
         assert_eq!(stats.datasets, 1, "same name re-registered");
     });
 }
+
+/// Non-finite coordinates are refused at registration — they would
+/// otherwise fault a gridded sweep on a worker — and a refused
+/// registration leaves the service answering the valid dataset exactly.
+#[test]
+fn non_finite_coordinates_are_refused_at_registration() {
+    let good = tbs_datagen::uniform_points::<3>(256, BOX, 21);
+    Server::run(ServeConfig::default().with_workers(2), |h| {
+        h.register_dataset("d", good.clone()).expect("register");
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            for d in 0..3 {
+                let mut pts: Vec<[f32; 3]> = good.iter().collect();
+                pts[17][d] = bad;
+                let res = h.register_dataset("d", SoaPoints::from_points(&pts));
+                assert!(
+                    matches!(res, Err(ServeError::BadQuery(_))),
+                    "coordinate {bad} in dimension {d}: {res:?}"
+                );
+            }
+        }
+        for q in [
+            Query::PairCounts {
+                radii: vec![4.0, 12.0],
+            },
+            Query::CountWithin {
+                radius: 6.0,
+                gridded: true,
+            },
+        ] {
+            assert_eq!(h.submit("d", q.clone()).expect("query"), oracle(&good, &q));
+        }
+        assert_eq!(h.stats().expect("stats").datasets, 1);
+    });
+}

@@ -81,8 +81,8 @@ pub use kernels::{
     RegisterShmKernel, ShmShmKernel, ShuffleKernel, SumReduceKernel,
 };
 pub use output::{
-    CountWithinRadius, GlobalHistogramAction, KdeAction, KnnAction, MatrixWriteAction,
-    MultiCopyHistogramAction, MultiCountSink, MultiHistSink, MultiQueryAction, MultiQueryBlock,
-    OutputClass, PairAction, PairListAction, SharedHistogramAction,
+    privatized_copy_fits, CountWithinRadius, GlobalHistogramAction, KdeAction, KnnAction,
+    MatrixWriteAction, MultiCopyHistogramAction, MultiCountSink, MultiHistSink, MultiQueryAction,
+    MultiQueryBlock, OutputClass, PairAction, PairListAction, SharedHistogramAction,
 };
 pub use point::{DeviceSoa, SoaPoints};

@@ -374,6 +374,15 @@ pub struct SharedHistogramAction {
     pub private: BufU32,
 }
 
+/// Whether a privatized `u32` histogram copy is safe from wrapping: one
+/// block of `block_size` threads sees fewer than `block_size · n` pairs
+/// of a sweep whose partner side has `n` points, so even a single-bucket
+/// pile-up stays below 2³² while `block_size · n < 2³²`. Callers refuse
+/// larger sweeps instead of returning a silently wrapped count.
+pub fn privatized_copy_fits(block_size: u32, n: u64) -> bool {
+    (block_size as u128) * (n as u128) <= u32::MAX as u128
+}
+
 impl PairAction for SharedHistogramAction {
     type Block = ShmU32;
 
@@ -1021,5 +1030,22 @@ impl PairAction for MultiQueryAction {
                 .map(|hs| (hs.spec.inv_width(), hs.spec.buckets.saturating_sub(1)))
                 .collect(),
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn privatized_copy_bound_sits_at_two_to_the_32() {
+        // 3 · 1,431,655,765 = 2³² − 1 fits; 1024 · 4,194,304 = 2³² wraps.
+        assert!(privatized_copy_fits(3, 1_431_655_765));
+        assert!(!privatized_copy_fits(3, 1_431_655_766));
+        assert!(privatized_copy_fits(1, u32::MAX as u64));
+        assert!(!privatized_copy_fits(1, 1 << 32));
+        assert!(privatized_copy_fits(1024, (1 << 22) - 1));
+        assert!(!privatized_copy_fits(1024, 1 << 22));
+        assert!(!privatized_copy_fits(u32::MAX, u64::MAX));
     }
 }

@@ -91,23 +91,16 @@ pub enum CompiledSinkSpec {
     },
 }
 
-/// Edge-table cap: a histogram with more buckets than this keeps the
-/// per-lane sqrt chain (the table would cost more to build and to hold
-/// in cache than the sqrts it can skip).
-const EDGE_TABLE_MAX_BUCKETS: u32 = 1 << 16;
-
-/// A lowered histogram sink: the bucket geometry plus precomputed
-/// squared-distance bin edges (see [`squared_bin_edges`]).
+/// A lowered histogram sink: the bucket geometry plus whether the
+/// vectorized bucketing of [`floor_bucket_exact`] is exact for it.
 #[derive(Debug, Clone, PartialEq)]
 struct LoweredHist {
     inv_width: f32,
     hmax: u32,
-    /// `edges[b] ≤ s < edges[b+1] ⟺ bucket(sqrt(s)) = b` for every
-    /// `b ≤ hmax` and every non-NaN squared distance `s` (with
-    /// `edges[hmax+1] = +inf`). Empty when the geometry is degenerate
-    /// (non-finite or non-positive `inv_width`, oversized table) — the
-    /// sink then classifies through the sqrt chain only.
-    edges: Vec<f32>,
+    /// `inv_width` finite and positive and `hmax < 2¹⁶` — the domain on
+    /// which [`floor_bucket_exact`] equals the saturating cast chain.
+    /// Degenerate geometry keeps the scalar cast chain.
+    exact: bool,
 }
 
 impl LoweredHist {
@@ -115,55 +108,9 @@ impl LoweredHist {
         LoweredHist {
             inv_width,
             hmax,
-            edges: squared_bin_edges(inv_width, hmax),
+            exact: inv_width.is_finite() && inv_width > 0.0 && hmax < 1 << 16,
         }
     }
-}
-
-/// Squared-distance bin edges for the bucket map
-/// `bucket(d) = min((d · inv_width) as u32, hmax)` applied to
-/// `d = s.sqrt()`: `edges[b]` is the smallest `f32` `s ≥ 0` whose raw
-/// (pre-clamp) bucket reaches `b`, `edges[0] = 0` and
-/// `edges[hmax+1] = +inf`, so for non-NaN `s`
-///
-/// ```text
-/// edges[b] ≤ s < edges[b+1]  ⟺  bucket(s.sqrt()) = b      (b ≤ hmax)
-/// ```
-///
-/// This is exact at the ulp like [`sqrt_lt_threshold`]: the composite
-/// `s → (s.sqrt() · inv_width) as u32` is monotone in `s` (`sqrt` and
-/// multiplication by a positive finite constant are monotone under
-/// round-to-nearest; the saturating truncating cast — CUDA's
-/// `__float2uint_rz` — is monotone too), and non-negative `f32` order
-/// equals bit order, so each boundary is found by bit-space binary
-/// search rather than arithmetic that could be off by an ulp.
-fn squared_bin_edges(inv_width: f32, hmax: u32) -> Vec<f32> {
-    if !(inv_width.is_finite() && inv_width > 0.0) || hmax >= EDGE_TABLE_MAX_BUCKETS {
-        return Vec::new();
-    }
-    let raw = |s: f32| (s.sqrt() * inv_width) as u32;
-    let mut edges = Vec::with_capacity(hmax as usize + 2);
-    edges.push(0.0f32);
-    for b in 1..=hmax {
-        // Invariant: raw(lo) < b ≤ raw(hi); raw(+inf) saturates to
-        // u32::MAX so the upper end always qualifies.
-        let mut lo = 0u32;
-        let mut hi = f32::INFINITY.to_bits();
-        if raw(0.0) >= b {
-            hi = 0;
-        }
-        while hi - lo > 1 {
-            let mid = lo + (hi - lo) / 2;
-            if raw(f32::from_bits(mid)) >= b {
-                hi = mid;
-            } else {
-                lo = mid;
-            }
-        }
-        edges.push(f32::from_bits(hi));
-    }
-    edges.push(f32::INFINITY);
-    edges
 }
 
 /// Which partner-tile storage an intra-block compiled pass reads.
@@ -411,9 +358,9 @@ pub struct CompiledScratch {
 
 /// One lane's exact bucket index from an already-sqrt'd distance,
 /// branch-free and vectorizable: bit-identical to the op-by-op chain
-/// `((d * inv_width) as u32).min(hmax)` under the callers' gate (a
-/// non-empty lowered edge table, which requires a finite positive
-/// `inv_width` and `hmax` < 2¹⁶), with `hmax_f == hmax as f32`
+/// `((d * inv_width) as u32).min(hmax)` under the callers' gate
+/// ([`LoweredHist::exact`]: a finite positive `inv_width` and
+/// `hmax` < 2¹⁶), with `hmax_f == hmax as f32`
 /// (exact, since `hmax` < 2²⁴) and `d ≥ 0` or NaN.
 ///
 /// Rust's saturating float→int cast (`fptosi.sat`) scalarizes on
@@ -500,11 +447,12 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
     /// Returns `false` with no side effects whenever a precondition
     /// fails, exactly like the fused pass; additionally declines when
     /// the consumer does not match the lowered sink (wrong plan). The
-    /// histogram and multi sinks run here too: bucketing goes sqrt-free
-    /// through the lowered squared bin edges where they are exact, and
-    /// the scatter's accounting and data update share one walk
-    /// ([`crate::mem::SharedSpace::scatter_account_update`]) over the
-    /// block's persistent scratch.
+    /// histogram and multi sinks run here too: bucketing is one sqrt
+    /// per lane and the branch-free [`floor_bucket_exact`] where the
+    /// geometry allows it, and the scatter's accounting and data update
+    /// share one walk
+    /// ([`crate::mem::SharedSpace::scatter_account_update_rows`]) over
+    /// the block's persistent scratch.
     #[allow(clippy::too_many_arguments)]
     pub fn compiled_euclidean_tile<const D: usize>(
         &mut self,
@@ -923,7 +871,7 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
                 // bits).
                 let lh = &ck.hists[0];
                 let (inv_width, hmax) = (lh.inv_width, lh.hmax);
-                let exact = !lh.edges.is_empty();
+                let exact = lh.exact;
                 scr.b.clear();
                 scr.p.clear();
                 scr.pn.clear();
@@ -1095,7 +1043,7 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
                     for (k, _) in hist_sinks.iter().enumerate() {
                         let lh = &ck.hists[k];
                         let (iw, h) = (lh.inv_width, lh.hmax);
-                        if pm.0 == u32::MAX && !lh.edges.is_empty() {
+                        if pm.0 == u32::MAX && lh.exact {
                             // Full-warp step with exact geometry: the
                             // vectorized magic-number floor (identical
                             // bits — see `floor_bucket_exact`, here
@@ -1424,7 +1372,7 @@ impl<'b, 'a> WarpCtx<'b, 'a> {
                 // in ascending dimensions, sqrt, FMUL, saturating cast
                 // (the exact-geometry rows go through the vectorized
                 // cast of `bucket_row_exact` — identical bits).
-                let exact = !ck.hists[0].edges.is_empty();
+                let exact = ck.hists[0].exact;
                 scr.b.clear();
                 {
                     let cols: [&[f32]; D] = match &tile {
@@ -1717,107 +1665,67 @@ mod tests {
         assert!(ck.threshold() > 0.0);
     }
 
-    /// The device's bucket index for a squared distance `s`: one sqrt,
-    /// scale, truncate, clamp — the chain the edge table must replace
-    /// exactly.
-    fn sqrt_bucket(s: f32, inv_width: f32, hmax: u32) -> u32 {
-        ((s.sqrt() * inv_width) as u32).min(hmax)
-    }
-
     #[test]
-    fn squared_bin_edges_are_exact_at_every_boundary() {
-        // For every bucket b, the table must satisfy
-        //   edges[b] <= s < edges[b+1]  <=>  sqrt_bucket(s) == b
-        // including at the edges themselves and one ulp either side.
-        for (inv_width, hmax) in [
-            (0.2f32, 31u32),
-            (1.0, 63),
-            (3.7, 7),
-            (0.177, 255),
-            (1e-3, 1023),
-            (12.5, 0),
-        ] {
-            let edges = squared_bin_edges(inv_width, hmax);
-            assert_eq!(edges.len(), hmax as usize + 2, "inv_width={inv_width}");
-            assert_eq!(edges[0], 0.0);
-            assert_eq!(edges[hmax as usize + 1], f32::INFINITY);
-            for b in 0..=hmax {
-                let (lo, hi) = (edges[b as usize], edges[b as usize + 1]);
-                assert!(lo <= hi, "edge order b={b}");
-                // Probe the boundary neighborhood from both sides.
-                for s in [
-                    lo,
-                    f32::from_bits(lo.to_bits() + 1),
-                    if hi.is_finite() {
-                        f32::from_bits(hi.to_bits().saturating_sub(1))
-                    } else {
-                        f32::MAX
-                    },
+    fn floor_bucket_exact_matches_cast_chain() {
+        // The op-by-op chain the magic-number floor must reproduce bit
+        // for bit on the `LoweredHist::exact` domain.
+        let cast = |d: f32, iw: f32, hmax: u32| ((d * iw) as u32).min(hmax);
+        for hmax in [0u32, 15, 31, 255] {
+            let hf = hmax as f32;
+            for iw in [0.2f32, 1.0, 1.6, 3.7, 0.177, 1e-3, 12.5] {
+                assert!(LoweredHist::lower(iw, hmax).exact);
+                // An ulp walk across every bucket boundary, including
+                // the clamp boundary `hmax + 1` and the one above it.
+                for b in 0..=hmax + 2 {
+                    let edge = b as f32 / iw;
+                    let mut lo = edge;
+                    let mut hi = edge;
+                    for _ in 0..48 {
+                        for d in [lo, hi] {
+                            assert_eq!(
+                                floor_bucket_exact(d, iw, hf),
+                                cast(d, iw, hmax),
+                                "d={d} inv_width={iw} hmax={hmax}"
+                            );
+                        }
+                        if lo > 0.0 {
+                            lo = f32::from_bits(lo.to_bits() - 1);
+                        }
+                        hi = f32::from_bits(hi.to_bits() + 1);
+                    }
+                }
+                // NaN → 0 (the saturating cast's NaN rule), +inf and
+                // products far above `hmax` clamp to `hmax`.
+                for d in [
+                    f32::NAN,
+                    f32::INFINITY,
+                    f32::MAX,
+                    0.0,
+                    -0.0,
+                    (hf + 7.5) / iw,
                 ] {
-                    if s < hi && lo <= s {
-                        assert_eq!(
-                            sqrt_bucket(s, inv_width, hmax),
-                            b,
-                            "inside bucket b={b} s={s} inv_width={inv_width}"
-                        );
-                    }
-                }
-                if b > 0 {
-                    // Just below the lower edge must fall in an earlier bucket.
-                    let below = f32::from_bits(lo.to_bits().wrapping_sub(1));
-                    if below.is_finite() && below >= 0.0 {
-                        assert!(
-                            sqrt_bucket(below, inv_width, hmax) < b,
-                            "below edge b={b} inv_width={inv_width}"
-                        );
-                    }
+                    assert_eq!(
+                        floor_bucket_exact(d, iw, hf),
+                        cast(d, iw, hmax),
+                        "d={d} inv_width={iw} hmax={hmax}"
+                    );
                 }
             }
         }
-    }
-
-    #[test]
-    fn squared_bin_edges_cover_random_samples() {
-        // Dense pseudo-random sweep: table lookup == sqrt chain for
-        // every sample, degenerate values included.
-        let mut x = 0x9E37_79B9_7F4A_7C15u64;
-        for &(inv_width, hmax) in &[(0.35f32, 47u32), (2.2, 15), (0.05, 511)] {
-            let edges = squared_bin_edges(inv_width, hmax);
-            assert!(!edges.is_empty());
-            let lookup = |s: f32| {
-                debug_assert!(!s.is_nan());
-                // Binary-search the table exactly as a device lane would
-                // walk it: greatest b with edges[b] <= s.
-                edges.partition_point(|&e| e <= s).saturating_sub(1) as u32
-            };
-            for _ in 0..4000 {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                let s = ((x >> 32) as f32 / u32::MAX as f32) * 2.0 / (inv_width * inv_width);
-                assert_eq!(
-                    lookup(s),
-                    sqrt_bucket(s, inv_width, hmax),
-                    "s={s} inv_width={inv_width} hmax={hmax}"
-                );
-            }
-            assert_eq!(lookup(0.0), 0);
-            assert_eq!(lookup(f32::MAX), hmax);
+        // Degenerate geometry stays on the cast chain.
+        for (iw, hmax) in [
+            (f32::INFINITY, 31),
+            (f32::NAN, 31),
+            (0.0, 31),
+            (-1.0, 31),
+            (0.5, 1 << 16),
+        ] {
+            assert!(
+                !LoweredHist::lower(iw, hmax).exact,
+                "inv_width={iw} hmax={hmax}"
+            );
         }
-    }
-
-    #[test]
-    fn squared_bin_edges_decline_degenerate_geometry() {
-        // Non-finite / non-positive scales and oversized tables must
-        // return the empty sentinel: the sink keeps the sqrt chain.
-        assert!(squared_bin_edges(f32::INFINITY, 31).is_empty());
-        assert!(squared_bin_edges(f32::NAN, 31).is_empty());
-        assert!(squared_bin_edges(0.0, 31).is_empty());
-        assert!(squared_bin_edges(-1.0, 31).is_empty());
-        assert!(squared_bin_edges(0.5, EDGE_TABLE_MAX_BUCKETS).is_empty());
-        // Largest admissible table still builds.
-        let edges = squared_bin_edges(0.5, EDGE_TABLE_MAX_BUCKETS - 1);
-        assert_eq!(edges.len(), EDGE_TABLE_MAX_BUCKETS as usize + 1);
+        assert!(LoweredHist::lower(0.5, (1 << 16) - 1).exact);
     }
 
     #[test]

@@ -527,9 +527,14 @@ impl SharedSpace {
     /// yields the same maximum bank occupancy; the per-lane update is
     /// branch-free and both maxima reduce vectorized.
     ///
+    /// Narrow arrays (at most 32 words under 32 banks — every few-bin
+    /// radial count) skip the per-lane walk altogether; see
+    /// [`scatter_rows_narrow`].
+    ///
     /// Every index must be in bounds for `h` (the compiled pre-flights
-    /// guarantee `hmax < len`, and buckets clamp to `hmax`);
-    /// multi-word storage and the scalar-reference route fall back to
+    /// guarantee `hmax < len`, and buckets clamp to `hmax`); an index
+    /// past the end panics like the per-lane `data[v]` update.
+    /// Multi-word storage and the scalar-reference route fall back to
     /// the per-step path.
     pub fn scatter_account_update_rows(
         &mut self,
@@ -557,6 +562,9 @@ impl SharedSpace {
             ShmStorage::U32(v) => v,
             _ => unreachable!("handle type guarantees u32 storage"),
         };
+        if banks == 32 && data.len() <= WARP_SIZE {
+            return scatter_rows_narrow(data, rows);
+        }
         if scratch.cnt.len() < data.len() {
             scratch.cnt.resize(data.len(), 0);
         }
@@ -688,6 +696,82 @@ impl SharedSpace {
         }
         (mult, txns)
     }
+}
+
+/// [`SharedSpace::scatter_account_update_rows`] for a `u32` array of at
+/// most 32 words under 32 banks. Each in-bounds index is below 32, so a
+/// row's distinct buckets map to distinct banks (`(base + v) & 31` is
+/// injective over `v < 32`): exactly one transaction and no replay per
+/// row, and the row's charges reduce to its multiplicity — the largest
+/// per-bucket lane count. The row packs to 32 bytes and each bucket's
+/// count is the popcount of one equality mask; counts gather in a
+/// stack accumulator that is added to `data` once per call (wrapping
+/// adds commute, so the final histogram equals the per-lane updates
+/// bit for bit). The accumulator is sliced to the array's length, so a
+/// row reaching past the end panics on it, as the per-lane `data[v]`
+/// update does.
+fn scatter_rows_narrow(data: &mut [u32], rows: &[u32]) -> (u64, u64, u64) {
+    let mut acc_words = [0u32; WARP_SIZE];
+    let acc = &mut acc_words[..data.len()];
+    let mut serial = 0u64;
+    for row in rows.chunks_exact(WARP_SIZE) {
+        // Only buckets in the row's value range can be hit; a row with
+        // one value (out-of-range pairs piling into the clamp bucket,
+        // clustered partners) is a full-warp broadcast.
+        let (lo, hi) = row
+            .iter()
+            .fold((u32::MAX, 0), |(lo, hi), &v| (lo.min(v), hi.max(v)));
+        if lo == hi {
+            acc[lo as usize] = acc[lo as usize].wrapping_add(WARP_SIZE as u32);
+            serial += WARP_SIZE as u64;
+            continue;
+        }
+        let packed: [u8; WARP_SIZE] = std::array::from_fn(|k| row[k] as u8);
+        let mut mult = 0u32;
+        for (b, a) in (lo..=hi).zip(&mut acc[lo as usize..=hi as usize]) {
+            let c = lane_mask(&packed, b as u8).count_ones();
+            *a = a.wrapping_add(c);
+            mult = mult.max(c);
+        }
+        serial += mult as u64;
+    }
+    for (d, &c) in data.iter_mut().zip(acc.iter()) {
+        *d = d.wrapping_add(c);
+    }
+    // Per row `txns + mult − 1 = mult` and `txns − 1 = 0`.
+    (serial, serial, 0)
+}
+
+#[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
+use lane_mask_avx2 as lane_mask;
+#[cfg(not(all(target_arch = "x86_64", target_feature = "avx2")))]
+use lane_mask_scalar as lane_mask;
+
+/// Bit `k` set ⟺ `packed[k] == b`: one byte-wise compare and movemask.
+#[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
+#[inline(always)]
+fn lane_mask_avx2(packed: &[u8; WARP_SIZE], b: u8) -> u32 {
+    use std::arch::x86_64::{
+        __m256i, _mm256_cmpeq_epi8, _mm256_loadu_si256, _mm256_movemask_epi8, _mm256_set1_epi8,
+    };
+    // SAFETY: this function only exists when AVX2 is enabled for the
+    // whole build, and the unaligned load reads exactly the 32 bytes of
+    // `packed`.
+    unsafe {
+        let v = _mm256_loadu_si256(packed.as_ptr().cast::<__m256i>());
+        _mm256_movemask_epi8(_mm256_cmpeq_epi8(v, _mm256_set1_epi8(b as i8))) as u32
+    }
+}
+
+/// Portable form of `lane_mask_avx2` (the AVX2 build keeps it only as
+/// the test oracle).
+#[cfg_attr(all(target_arch = "x86_64", target_feature = "avx2"), allow(dead_code))]
+#[inline(always)]
+fn lane_mask_scalar(packed: &[u8; WARP_SIZE], b: u8) -> u32 {
+    packed
+        .iter()
+        .enumerate()
+        .fold(0, |m, (k, &v)| m | (((v == b) as u32) << k))
 }
 
 #[cfg(test)]
@@ -988,6 +1072,112 @@ mod tests {
             // accounting comparison above is apples to apples; the
             // data must also agree since both saw the same rows.
             assert_eq!(s.u32s(a), s.u32s(b), "batched updates diverge");
+        }
+        // Narrow arrays: 32 banks take the per-bucket mask count, 16
+        // banks must keep the per-lane walk (there `v` and `v + 16`
+        // share a bank, so a mask count's flat 1 transaction would
+        // diverge from the oracle).
+        for (banks, len) in [
+            (32u32, 1usize),
+            (32, 2),
+            (32, 16),
+            (32, 32),
+            (16, 32),
+            (16, 16),
+        ] {
+            let mut s = SharedSpace::new(banks);
+            let _pad = s.alloc_f32(5);
+            let a = s.alloc_u32(len);
+            let b = s.alloc_u32(len);
+            let mut scratch = ScatterScratch::default();
+            let mut x = 0x1a2b3u64 ^ len as u64;
+            for trial in 0..120 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let steps = (x % 9) as usize;
+                let mut rows = Vec::with_capacity(steps * WARP_SIZE);
+                for j in 0..steps {
+                    let (p, q) = ((x % len as u64) as u32, ((x >> 8) % len as u64) as u32);
+                    for k in 0..WARP_SIZE {
+                        x ^= x << 13;
+                        x ^= x >> 7;
+                        x ^= x << 17;
+                        rows.push(match (trial + j) % 4 {
+                            0 => p,                        // all-broadcast
+                            1 => [p, q][(x & 1) as usize], // two values
+                            2 => (x % len as u64) as u32,  // uniform
+                            _ => (k % len) as u32,         // every bucket
+                        });
+                    }
+                }
+                let mut expect = (0u64, 0u64, 0u64);
+                for row in rows.chunks_exact(WARP_SIZE) {
+                    let (mult, txns) = s.scatter_account_update(a, row, &mut scratch);
+                    expect.0 += mult;
+                    expect.1 += txns + mult - 1;
+                    expect.2 += txns.saturating_sub(1);
+                }
+                assert_eq!(
+                    s.scatter_account_update_rows(b, &rows, &mut scratch),
+                    expect,
+                    "banks {banks} len {len} trial {trial}"
+                );
+                assert!(scratch.touched.is_empty(), "scratch not reset");
+                assert_eq!(
+                    s.u32s(a),
+                    s.u32s(b),
+                    "banks {banks} len {len} trial {trial}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn scatter_account_update_rows_panics_on_out_of_range_narrow_index() {
+        // A bucket past a narrow array's end must fault like `data[v]`,
+        // never vanish from every per-bucket count — including a full
+        // broadcast past the end and an index whose low byte aliases an
+        // in-range bucket (259 packs to 3).
+        for bad in [16u32, 40, 259] {
+            for broadcast in [false, true] {
+                let mut rows = vec![3u32; 2 * WARP_SIZE];
+                rows[WARP_SIZE + 7] = bad;
+                if broadcast {
+                    rows[WARP_SIZE..].fill(bad);
+                }
+                let res = std::panic::catch_unwind(move || {
+                    let mut s = SharedSpace::new(32);
+                    let a = s.alloc_u32(16);
+                    s.scatter_account_update_rows(a, &rows, &mut ScatterScratch::default())
+                });
+                assert!(
+                    res.is_err(),
+                    "index {bad} (broadcast {broadcast}) must panic"
+                );
+            }
+        }
+    }
+
+    #[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
+    #[test]
+    fn lane_mask_scalar_matches_avx2() {
+        let mut x = 0x77aau64;
+        for trial in 0..2000 {
+            let packed: [u8; WARP_SIZE] = std::array::from_fn(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                // Narrow rows, plus full-byte rows for the high bit.
+                (if trial % 2 == 0 { x % 32 } else { x % 256 }) as u8
+            });
+            for b in 0..=255u8 {
+                assert_eq!(
+                    lane_mask_scalar(&packed, b),
+                    lane_mask_avx2(&packed, b),
+                    "trial {trial} b {b}"
+                );
+            }
         }
     }
 
